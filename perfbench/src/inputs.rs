@@ -116,12 +116,8 @@ pub enum Load {
 
 /// Everything one run sends.
 pub struct Inputs {
-    /// The workload these inputs belong to.
-    pub workload: Workload,
     /// The seed they were generated from.
     pub seed: u64,
-    /// Input size.
-    pub size: Size,
     /// The documents, loaded in this order.
     pub docs: Vec<Doc>,
     /// The load shape.
@@ -187,9 +183,7 @@ impl Inputs {
                     })
                     .collect();
                 Inputs {
-                    workload,
                     seed,
-                    size,
                     docs,
                     load: Load::Closed {
                         window: PAPER_WINDOW,
@@ -225,9 +219,7 @@ impl Inputs {
                     })
                     .collect();
                 Inputs {
-                    workload,
                     seed,
-                    size,
                     docs,
                     load: Load::Open {
                         batches_per_s: rate,
@@ -251,9 +243,7 @@ impl Inputs {
                 let xml = Dataset::XMark.generate(scale);
                 let ops = random_rename_sequence(&xml, writes.max(entry) + tail, mix_seed(seed, 0));
                 Inputs {
-                    workload,
                     seed,
-                    size,
                     docs: vec![Doc {
                         name: format!("XMark x{scale}"),
                         xml,

@@ -128,16 +128,11 @@ impl Tracer {
     }
 
     /// Number of spans recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.spans
             .lock()
             .expect("span list lock never poisoned")
             .len()
-    }
-
-    /// Whether no span was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Writes every span as `id parent name request start_ns end_ns`.
