@@ -1,4 +1,4 @@
-//! Benchmark driver: `perfbench --workload <name> --seed <n> --seconds <s>
+//! Benchmark entry point: `perfbench --workload <name> --seed <n> --seconds <s>
 //! --trace <0|1>`.
 //!
 //! Prints a readable report, then as its last line one JSON object with
