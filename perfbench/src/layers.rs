@@ -18,8 +18,8 @@
 
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use grammar_repair::durable::{CheckpointReport, DurableStore};
 use grammar_repair::queue::{DrainPolicy, IngestQueue, Ticket};
@@ -81,15 +81,14 @@ fn err(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
 
-/// The entry batch set in replay order: documents alternate under a
-/// closed loop, the open loop keeps its schedule order.
+/// The entry batch set in replay order: documents alternate under the
+/// closed loop.
 pub fn entry_order(inputs: &Inputs) -> Vec<Batch> {
     let e = inputs.entry_batches;
     match inputs.load {
         Load::Closed { .. } => (0..e)
             .flat_map(|k| (0..inputs.docs.len()).map(move |doc| inputs.batch(doc, k)))
             .collect(),
-        Load::Open { .. } => (0..e).map(|i| inputs.open_slot(i)).collect(),
         Load::ReadMostly { .. } => (0..e).map(|k| inputs.batch(0, k)).collect(),
     }
 }
@@ -191,39 +190,6 @@ fn queue_entry(
                 .flat_map(|h| h.join().expect("queue load thread never panics"))
                 .collect()
         }),
-        Load::Open { batches_per_s, .. } => {
-            let interval = Duration::from_secs_f64(1.0 / batches_per_s);
-            let (tx, rx) = mpsc::channel::<(Batch, Instant, Ticket)>();
-            std::thread::scope(|s| {
-                let (queue, ids) = (&queue, &ids);
-                let sender = s.spawn(move || {
-                    let mut res = Vec::new();
-                    for i in 0..e {
-                        let due = start + interval * i as u32;
-                        let now = Instant::now();
-                        if due > now {
-                            std::thread::sleep(due - now);
-                        }
-                        let b = inputs.open_slot(i);
-                        match queue.submit(ids[b.doc], inputs.ops(b).to_vec()) {
-                            Ok(t) => {
-                                if tx.send((b, due, t)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(e) => res.push(Err(err(e))),
-                        }
-                    }
-                    res
-                });
-                let mut res: Vec<_> = rx
-                    .into_iter()
-                    .map(|(b, due, t)| record(b, due, t))
-                    .collect();
-                res.extend(sender.join().expect("queue sender never panics"));
-                res
-            })
-        }
         Load::ReadMostly { write_every, .. } => (0..e)
             .map(|k| {
                 let due = start + *write_every * k as u32;

@@ -16,7 +16,6 @@ fn parse() -> Result<Options, String> {
     let mut seed = None;
     let mut seconds = 10.0;
     let mut trace = false;
-    let mut size = Size::Full;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().ok_or(format!("{flag} needs a value"));
@@ -48,7 +47,6 @@ fn parse() -> Result<Options, String> {
                     other => return Err(format!("--trace takes 0 or 1, not `{other}`")),
                 }
             }
-            "--smoke" => size = Size::Smoke,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -57,37 +55,16 @@ fn parse() -> Result<Options, String> {
         seed: seed.ok_or("--seed is required")?,
         seconds,
         trace,
-        size,
+        size: Size::Full,
     })
 }
 
-/// Pins glibc malloc to one arena. With one arena per thread, which
-/// arena a thread lands in depends on lock timing, and the resulting
-/// scatter moved `peak_rss_mb` by a quarter between runs of one seed; one
-/// arena makes it measure the program's live data. It applies to every
-/// commit the benchmark measures alike.
-fn pin_malloc_arenas() {
-    #[cfg(all(target_os = "linux", target_env = "gnu"))]
-    {
-        const M_ARENA_MAX: i32 = -8;
-        extern "C" {
-            fn mallopt(param: i32, value: i32) -> i32;
-        }
-        // SAFETY: `mallopt` is glibc's documented tuning call; it takes two
-        // plain integers and is called here before any other thread exists.
-        unsafe {
-            mallopt(M_ARENA_MAX, 1);
-        }
-    }
-}
-
 fn main() -> ExitCode {
-    pin_malloc_arenas();
     let opts = match parse() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("perfbench: {e}");
-            eprintln!("usage: perfbench --workload <paper_mix|fleet_renames|read_mostly> --seed <n> --seconds <s> --trace <0|1> [--smoke]");
+            eprintln!("usage: perfbench --workload <paper_mix|read_mostly> --seed <n> --seconds <s> --trace <0|1>");
             return ExitCode::from(2);
         }
     };

@@ -3,13 +3,15 @@
 //!
 //! One repetition is: set up (open a durable store on the real filesystem,
 //! start the server, load every document over the socket); the measured
-//! phase; a checkpoint and a fixed tail of batches sent one at a time; the
-//! output checks; shutdown; and several timed reopens of the store. The same function serves the traced run, where it
-//! sends exactly the entry batch set instead of running for a fixed time.
+//! phase; under the closed loop, a pass of path queries on the final
+//! documents; a checkpoint and a fixed tail of batches sent one at a time;
+//! the output checks; shutdown; and several timed reopens of the store. The
+//! same function serves the traced run, where it sends exactly the entry
+//! batch set instead of running for a fixed time.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use grammar_repair::client::{Client, PendingApply};
@@ -23,12 +25,12 @@ use xmltree::binary::{from_binary, to_binary};
 use xmltree::updates::apply_update;
 use xmltree::XmlTree;
 
-use crate::inputs::{Batch, Inputs, Load};
+use crate::inputs::{Inputs, Load};
 use crate::trace::Tracer;
 
-/// How long the measured phase lasts. A closed loop always sends its entry
-/// batch set: its work comes in whole window rounds whose cost grows with
-/// the document, and a deadline would cut a varying number of them.
+/// How long the measured phase lasts. The closed loop always sends its
+/// entry batch set: its work comes in whole window rounds whose cost grows
+/// with the document, and a deadline would cut a varying number of them.
 #[derive(Debug, Clone, Copy)]
 pub enum Phase {
     /// Send until the deadline, then wait for what is in flight.
@@ -39,7 +41,7 @@ pub enum Phase {
 
 /// Store reopens per repetition (`recovery_s` is the median over every
 /// repetition's reopens).
-pub const RECOVERY_REPS: usize = 5;
+pub const RECOVERY_REPS: usize = 10;
 
 /// Everything one socket run measured and checked.
 #[derive(Debug, Default)]
@@ -48,14 +50,15 @@ pub struct SocketRun {
     pub setup_s: f64,
     /// Measured phase: first send to last ack, seconds.
     pub wall_s: f64,
-    /// Per-batch ack latency (send, or due time in an open loop, to
+    /// Per-batch ack latency (send, or due time of a paced write, to
     /// `Applied`), milliseconds.
     pub update_ms: Vec<f64>,
     /// `(document, batch index)` of each `update_ms` sample.
     pub update_keys: Vec<(usize, usize)>,
-    /// Per-query latency, milliseconds.
+    /// Per-query latency, milliseconds: the query stream of
+    /// `read_mostly`, the final-document pass of the closed loop.
     pub query_ms: Vec<f64>,
-    /// How late each scheduled send went out, milliseconds.
+    /// How late each paced write went out, milliseconds.
     pub lag_ms: Vec<f64>,
     /// Update ops acked in the measured phase.
     pub acked_ops: u64,
@@ -82,12 +85,17 @@ pub struct SocketRun {
     pub queue: QueueStats,
     /// WAL fsyncs over the whole run (loads and tail included).
     pub wal_syncs: u64,
+    /// `VmHWM` of the process from just before set-up to the end of the
+    /// measured phase (and the closed loop's query pass), MiB.
+    pub peak_rss_mb: f64,
     /// Each reopen's wall time (open plus first touch), seconds.
     pub recovery_s: Vec<f64>,
     /// First touch of every document after each reopen, milliseconds.
     pub first_touch_ms: Vec<f64>,
     /// The first reopen's recovery report.
     pub recovery: RecoveryReport,
+    /// Recompressions the first reopen ran while replaying the tail.
+    pub replay_repairs: usize,
     /// Output checks that failed (empty when the run is correct).
     pub failures: Vec<String>,
 }
@@ -149,6 +157,10 @@ pub fn run(
 ) -> Result<SocketRun, String> {
     let sock = work.join("s.sock");
     let mut out = SocketRun::default();
+    // The inputs exist by now; the high-water mark from here on covers the
+    // server, the store and the clients, not the generated documents'
+    // history or a previous repetition's peak.
+    reset_peak_rss();
     let start = Instant::now();
     let live = set_up(inputs, &work.join("store"), &sock)?;
     out.setup_s = start.elapsed().as_secs_f64();
@@ -161,9 +173,6 @@ pub fn run(
     let measured_start = Instant::now();
     match &inputs.load {
         Load::Closed { window, .. } => closed_loop(inputs, &live, *window, tracer, root, &mut out),
-        Load::Open { batches_per_s, .. } => {
-            open_loop(inputs, &live, phase, *batches_per_s, tracer, root, &mut out)
-        }
         Load::ReadMostly {
             queries,
             write_every,
@@ -188,6 +197,10 @@ pub fn run(
             Instant::now(),
         );
     }
+    if matches!(inputs.load, Load::Closed { .. }) {
+        final_queries(inputs, &live, tracer, root, &mut out)?;
+    }
+    out.peak_rss_mb = peak_rss_mb();
 
     finish(inputs, live, &mut out)?;
     Ok(out)
@@ -261,93 +274,30 @@ fn closed_loop(
     merge(out, start, results);
 }
 
-/// Open loop: one sender offers batches on a fixed schedule over both
-/// connections, one receiver collects the acks; latency runs from each
-/// batch's due time.
-fn open_loop(
+/// Query pass of the closed loop: `entry_queries_per_write` path queries
+/// per document on the documents the measured phase left, cycling over the
+/// document's query set, one at a time on connection 0.
+fn final_queries(
     inputs: &Inputs,
     live: &Live,
-    phase: Phase,
-    rate: f64,
     tracer: Option<&Tracer>,
     root: u64,
     out: &mut SocketRun,
-) {
-    let interval = Duration::from_secs_f64(1.0 / rate);
-    let start = Instant::now() + Duration::from_millis(5);
-    let (tx, rx) = mpsc::channel::<(Batch, usize, Instant, Instant, Option<PendingApply>)>();
-    let results: Vec<ConnResult> = std::thread::scope(|s| {
-        let sender = s.spawn(move || {
-            let mut r = ConnResult::new(inputs.docs.len());
-            let tail = inputs.tail_batches_per_doc;
-            for i in 0.. {
-                let due = start + interval * i as u32;
-                match phase {
-                    Phase::Timed(d) if due >= start + d => break,
-                    Phase::Entry if i >= inputs.entry_batches => break,
-                    _ => {}
-                }
-                let b = inputs.open_slot(i);
-                let k = b.start / b.len;
-                if k + tail >= inputs.batches_of(b.doc) {
-                    break;
-                }
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-                let sent = Instant::now();
-                r.lag_ms.push(ms(sent.saturating_duration_since(due)));
-                r.attempted += 1;
-                r.sent[b.doc] = k + 1;
-                let client = &live.clients[inputs.open_conn_of(b.doc)];
-                let pending = client
-                    .begin_apply_batch(live.ids[b.doc], inputs.ops(b).to_vec())
-                    .ok();
-                if tx.send((b, k, due, sent, pending)).is_err() {
-                    break;
-                }
+) -> Result<(), String> {
+    for (doc, &id) in live.ids.iter().enumerate() {
+        let queries = inputs.queries_for(doc);
+        for i in 0..inputs.entry_queries_per_write {
+            let q = &queries[i % queries.len()];
+            let sent = Instant::now();
+            live.clients[0].query(id, q).map_err(err)?;
+            let done = Instant::now();
+            if let Some(t) = tracer {
+                t.record(root, "client.query", request_id(doc, i), sent, done);
             }
-            drop(tx);
-            r
-        });
-        let receiver = s.spawn(move || {
-            let mut r = ConnResult::new(inputs.docs.len());
-            for (b, k, due, sent, pending) in rx {
-                let Some(p) = pending else {
-                    r.errors += 1;
-                    continue;
-                };
-                let res = p.wait_applied();
-                let acked = Instant::now();
-                r.last_ack = Some(acked);
-                if let Some(t) = tracer {
-                    t.record(
-                        root,
-                        "client.apply_batch",
-                        request_id(b.doc, k),
-                        sent,
-                        acked,
-                    );
-                }
-                match res {
-                    Ok(_) => {
-                        r.acked_batches += 1;
-                        r.acked_ops += b.len as u64;
-                        r.update_ms.push(ms(acked.saturating_duration_since(due)));
-                        r.update_keys.push((b.doc, k));
-                    }
-                    Err(_) => r.errors += 1,
-                }
-            }
-            r
-        });
-        vec![
-            sender.join().expect("sender never panics"),
-            receiver.join().expect("receiver never panics"),
-        ]
-    });
-    merge(out, start, results);
+            out.query_ms.push(ms(done - sent));
+        }
+    }
+    Ok(())
 }
 
 /// Read-mostly: connection 0 sends queries back to back, connection 1 one
@@ -556,6 +506,9 @@ fn finish(inputs: &Inputs, live: Live, out: &mut SocketRun) -> Result<(), String
         out.first_touch_ms.push(ms(end - touch));
         if rep == 0 {
             out.recovery = report;
+            for &id in &ids {
+                out.replay_repairs += store.dom().recompressions(id).map_err(err)?;
+            }
             for (doc, &id) in ids.iter().enumerate() {
                 let text = store.to_xml(id).map_err(err)?.to_xml();
                 if text != finals[doc] {
@@ -580,4 +533,37 @@ pub fn oracle_tree(inputs: &Inputs, doc: usize, ops: usize) -> Result<XmlTree, S
         apply_update(&mut bin, &mut symbols, op).map_err(err)?;
     }
     from_binary(&bin, &symbols).map_err(err)
+}
+
+/// Resets the process's `VmHWM` to its current resident size (Linux
+/// `clear_refs`; a no-op where it is unavailable). Memory the allocator
+/// still holds from earlier work is returned to the system first, so the
+/// resident size is live data only.
+fn reset_peak_rss() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` is glibc's documented call to release free
+        // heap memory; it takes a plain integer and is safe to call at any
+        // time from any thread.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
+
+/// `VmHWM` of this process in MiB (0 where `/proc` is unavailable).
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1))
+                .and_then(|kb| kb.parse::<f64>().ok())
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }
