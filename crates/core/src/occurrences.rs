@@ -14,20 +14,29 @@
 //! [`retrieve_occs`] is a full-grammar walk. Rebuilding it per replacement
 //! round made `GrammarRePair::recompress` pay O(grammar) per round — the cost
 //! the paper's update model forbids. [`crate::occ_index::OccIndex`] therefore
-//! maintains the same table incrementally; the invariants any mutation must
-//! respect are:
+//! maintains the same table incrementally, one generator node at a time; the
+//! invariants any mutation must respect are:
 //!
-//! * **A splice reports itself by bumping its rule's
-//!   [`sltgrammar::RhsTree::version`].** Every structural or label change to a
-//!   right-hand side (inlining, digram replacement, fragment export, rename)
-//!   goes through `RhsTree` mutators, which bump the counter. The index treats
-//!   a version mismatch as "all candidates whose generator lives in this rule
-//!   are stale".
-//! * **Chain walks are downward-only.** `TREEPARENT`/`TREECHILD` from a node of
-//!   rule `R` enter only (transitive) callees of `R` — never callers. The index
-//!   records, per rule, the exact set of rules its walks entered (`deps`), and
-//!   inverts it (`dependents`): when rule `C` changes structurally, precisely
-//!   the cached rules whose walks entered `C` must be rescanned, nothing else.
+//! * **A splice names the nodes it changed.** Every structural or label
+//!   change to a right-hand side (inlining, digram replacement, fragment
+//!   export, rename) goes through `RhsTree` mutators, which bump
+//!   [`sltgrammar::RhsTree::version`] and, while the index holds the rule's
+//!   splice journal, record each node they create, relabel, attach or
+//!   detach and each node whose child index they shift. Inside its rule, a
+//!   generator's candidate reads only its own label, parent and child index
+//!   and its parent's label, so the journaled nodes and their children are
+//!   the only generators of the rule that can be stale.
+//! * **Splices target reachable nodes; garbage is cut, never grown.** A node
+//!   leaves the tree only when the root of its subtree is detached or
+//!   replaced; that root is journaled and floating, so its arena subtree is
+//!   exactly what must be retracted. No splice attaches or relabels nodes
+//!   below garbage.
+//! * **Chain walks are downward-only.** `TREEPARENT`/`TREECHILD` from a
+//!   node of rule `R` enter only (transitive) callees of `R` — never
+//!   callers. The index records, per generator, the rules its walks entered,
+//!   and inverts that into a callee → generator-nodes map: when rule `C`
+//!   changes or vanishes, precisely the generators whose walks entered `C`
+//!   are rescanned in the other rules, nothing else.
 //! * **Freezing is monotone and confined to fresh rules.** The frozen set only
 //!   ever gains rules created *after* every existing rule was last scanned, and
 //!   no pre-existing body references a fresh rule; a cached chain can therefore
@@ -38,9 +47,11 @@
 //!   reference counts) are propagated as `count × (usage_new − usage_old)`
 //!   deltas per (rule, digram) pair without touching candidate sets.
 //! * **Equal-label digrams are order-sensitive.** Their greedy overlap
-//!   resolution depends on the global anti-straight-line scan order, so the
-//!   index replays exactly that order per equal-label digram from the cached
-//!   per-rule candidate lists instead of maintaining them by deltas.
+//!   resolution depends on the global scan order — rules in anti-straight-line
+//!   order, generators in preorder within a rule — so the index replays
+//!   exactly that order per equal-label digram from cached per-rule candidate
+//!   lists instead of maintaining them by deltas, and re-sorts a rule's lists
+//!   by one preorder walk only when its equal-label candidates changed.
 
 use sltgrammar::{FxHashMap, FxHashSet, Grammar, NodeId, NodeKind, NtId};
 use treerepair::Digram;

@@ -66,6 +66,10 @@ pub struct RepairStats {
     pub replacements: usize,
     /// Number of fragment rules exported by the optimization.
     pub exported_rules: usize,
+    /// Generator nodes whose occurrence candidate the incremental index
+    /// computed, summed over the run (its initial scan included): a work
+    /// count, not a speed. Zero on the rebuild-oracle path.
+    pub rescanned_candidates: usize,
     /// Result of the pruning phase.
     pub pruned: PruneStats,
 }
@@ -126,9 +130,10 @@ impl GrammarRePair {
     }
 
     /// The default replacement loop: the occurrence table and the shared
-    /// frequency-bucket queue are built **once** and refreshed with deltas
-    /// after each round — [`retrieve_occs`] is never called here, so a round
-    /// costs time proportional to what it changes, not to the grammar.
+    /// frequency-bucket queue are built **once** and refreshed after each
+    /// round from the rule bodies' splice journals — [`retrieve_occs`] is
+    /// never called here, so a round costs time proportional to the nodes it
+    /// spliced, not to the grammar.
     fn run_incremental(&self, g: &mut Grammar, stats: &mut RepairStats) {
         let mut frozen: FrozenSet = FrozenSet::default();
         let mut index = OccIndex::build(g, &frozen);
@@ -178,6 +183,8 @@ impl GrammarRePair {
                     stats.max_intermediate_edges.max(index.edge_count());
             }
         }
+        stats.rescanned_candidates = index.rescanned_candidates();
+        index.release(g);
     }
 
     /// The rebuild oracle: re-retrieves all occurrence generators per round by

@@ -13,9 +13,15 @@
 //! Every mutating operation bumps a monotonically increasing [`RhsTree::version`]
 //! counter. Incremental consumers (the grammar-side occurrence index, caches of
 //! rule sizes) record the version they last observed and treat any mismatch as
-//! "this right-hand side changed, re-derive everything you cached about it" —
-//! the splice itself does not have to enumerate which parent/child pairs it
-//! touched.
+//! "this right-hand side changed, re-derive everything you cached about it".
+//!
+//! A consumer that must know *which* nodes changed (the grammar-side
+//! occurrence index, refreshed after every GrammarRePair round) additionally
+//! holds a splice journal: between [`RhsTree::begin_journal`] and
+//! [`RhsTree::end_journal`], every mutator records each node it creates,
+//! relabels, attaches or detaches and each node whose child index it shifts,
+//! and [`RhsTree::take_journal`] drains them. With no journal held the mutators
+//! record nothing, and clones never carry one.
 
 use crate::fxhash::FxHashMap;
 use crate::node::{NodeId, NodeKind};
@@ -31,14 +37,39 @@ pub struct RhsNode {
     pub children: Vec<NodeId>,
 }
 
+/// Splice journal of an [`RhsTree`] (see the module docs).
+#[derive(Debug, Default)]
+enum Journal {
+    /// Nothing is recorded.
+    #[default]
+    Off,
+    /// Nodes changed since the last drain, possibly repeated.
+    On(Vec<NodeId>),
+    /// [`RhsTree::compact`] renumbered the nodes since the last drain.
+    Lost,
+}
+
 /// Arena tree representing one rule right-hand side.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RhsTree {
     nodes: Vec<RhsNode>,
     root: NodeId,
     /// Mutation counter: bumped by every structural or label change. See the
     /// module docs; cloning preserves the current value.
     version: u64,
+    journal: Journal,
+}
+
+impl Clone for RhsTree {
+    /// Clones the tree and its version; the clone holds no journal.
+    fn clone(&self) -> Self {
+        RhsTree {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            version: self.version,
+            journal: Journal::Off,
+        }
+    }
 }
 
 impl RhsTree {
@@ -52,6 +83,7 @@ impl RhsTree {
             }],
             root: NodeId(0),
             version: 0,
+            journal: Journal::Off,
         }
     }
 
@@ -62,6 +94,42 @@ impl RhsTree {
         self.version
     }
 
+    /// Starts recording a splice journal, discarding any earlier one.
+    pub fn begin_journal(&mut self) {
+        self.journal = Journal::On(Vec::new());
+    }
+
+    /// Stops recording and drops the journal.
+    pub fn end_journal(&mut self) {
+        self.journal = Journal::Off;
+    }
+
+    /// Drains the journal: the nodes created, relabelled, attached, detached
+    /// or moved to another child index since the last drain (in mutation
+    /// order, possibly repeated, garbage included). Recording continues.
+    ///
+    /// Returns `None` when the changes cannot be named — no journal is held,
+    /// or [`RhsTree::compact`] renumbered the nodes — so the caller must treat
+    /// every node as changed.
+    pub fn take_journal(&mut self) -> Option<Vec<NodeId>> {
+        match &mut self.journal {
+            Journal::On(nodes) => Some(std::mem::take(nodes)),
+            Journal::Lost => {
+                self.journal = Journal::On(Vec::new());
+                None
+            }
+            Journal::Off => None,
+        }
+    }
+
+    /// Records `id` in the journal, if one is held.
+    #[inline]
+    fn note(&mut self, id: NodeId) {
+        if let Journal::On(nodes) = &mut self.journal {
+            nodes.push(id);
+        }
+    }
+
     /// Adds a floating node (no parent) with already-added children.
     ///
     /// The children must currently be floating (roots of detached subtrees or
@@ -69,9 +137,11 @@ impl RhsTree {
     pub fn add_node(&mut self, kind: NodeKind, children: Vec<NodeId>) -> NodeId {
         self.version += 1;
         let id = NodeId(self.nodes.len() as u32);
+        self.note(id);
         for &c in &children {
             debug_assert!(self.nodes[c.index()].parent.is_none(), "child must be floating");
             self.nodes[c.index()].parent = Some(id);
+            self.note(c);
         }
         self.nodes.push(RhsNode {
             kind,
@@ -90,6 +160,8 @@ impl RhsTree {
     pub fn set_root(&mut self, id: NodeId) {
         debug_assert!(self.nodes[id.index()].parent.is_none());
         self.version += 1;
+        self.note(self.root);
+        self.note(id);
         self.root = id;
     }
 
@@ -110,6 +182,7 @@ impl RhsTree {
     /// rank.
     pub fn set_kind(&mut self, id: NodeId, kind: NodeKind) {
         self.version += 1;
+        self.note(id);
         self.nodes[id.index()].kind = kind;
     }
 
@@ -193,11 +266,38 @@ impl RhsTree {
             .collect()
     }
 
-    /// Finds the unique node labelled with parameter `i` (0-based), if present.
+    /// Finds the unique node labelled with parameter `i` (0-based), if
+    /// present: the first one in preorder. Walks the tree through its parent
+    /// links without allocating and stops at the match.
     pub fn find_param(&self, i: u32) -> Option<NodeId> {
-        self.preorder()
-            .into_iter()
-            .find(|&id| self.kind(id) == NodeKind::Param(i))
+        let target = NodeKind::Param(i);
+        let mut node = self.root;
+        loop {
+            if self.kind(node) == target {
+                return Some(node);
+            }
+            if let Some(&first) = self.children(node).first() {
+                node = first;
+                continue;
+            }
+            // Climb to the nearest ancestor with a next sibling.
+            loop {
+                if node == self.root {
+                    return None;
+                }
+                let parent = self.parent(node).expect("non-root node has a parent");
+                let siblings = self.children(parent);
+                let pos = siblings
+                    .iter()
+                    .position(|&c| c == node)
+                    .expect("parent/child links consistent");
+                if let Some(&next) = siblings.get(pos + 1) {
+                    node = next;
+                    break;
+                }
+                node = parent;
+            }
+        }
     }
 
     /// Detaches `id` from its parent, making it a floating subtree root.
@@ -212,6 +312,12 @@ impl RhsTree {
                 .expect("parent/child links consistent");
             self.nodes[p.index()].children.remove(pos);
             self.nodes[id.index()].parent = None;
+            self.note(id);
+            // The later siblings moved one child index to the left.
+            for k in pos..self.nodes[p.index()].children.len() {
+                let sibling = self.nodes[p.index()].children[k];
+                self.note(sibling);
+            }
         }
     }
 
@@ -220,6 +326,8 @@ impl RhsTree {
     pub fn replace_subtree(&mut self, at: NodeId, replacement: NodeId) {
         debug_assert!(self.nodes[replacement.index()].parent.is_none());
         self.version += 1;
+        self.note(at);
+        self.note(replacement);
         if at == self.root {
             self.nodes[at.index()].parent = None;
             self.root = replacement;
@@ -240,6 +348,7 @@ impl RhsTree {
     pub fn push_child(&mut self, parent: NodeId, child: NodeId) {
         debug_assert!(self.nodes[child.index()].parent.is_none());
         self.version += 1;
+        self.note(child);
         self.nodes[parent.index()].children.push(child);
         self.nodes[child.index()].parent = Some(parent);
     }
@@ -293,6 +402,7 @@ impl RhsTree {
         let args: Vec<NodeId> = self.children(at).to_vec();
         for &a in &args {
             self.nodes[a.index()].parent = None;
+            self.note(a);
         }
         self.nodes[at.index()].children.clear();
 
@@ -325,6 +435,9 @@ impl RhsTree {
     /// external node ids are retained.
     pub fn compact(&mut self) {
         self.version += 1;
+        if matches!(self.journal, Journal::On(_)) {
+            self.journal = Journal::Lost;
+        }
         let order = self.preorder();
         let mut map: FxHashMap<NodeId, NodeId> =
             FxHashMap::with_capacity_and_hasher(order.len(), Default::default());
@@ -534,5 +647,83 @@ mod tests {
         assert_eq!(t.find_param(0), Some(p0));
         assert_eq!(t.find_param(1), Some(p1));
         assert_eq!(t.find_param(2), None);
+    }
+
+    /// Deterministic xorshift stream for the randomized tests.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn find_param_agrees_with_param_nodes_on_random_trees() {
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..300 {
+            let mut t = RhsTree::singleton(term(0));
+            let mut nodes = vec![t.root()];
+            for _ in 0..rng.below(40) {
+                let parent = nodes[rng.below(nodes.len())];
+                let leaf = t.add_leaf(term(1));
+                t.push_child(parent, leaf);
+                nodes.push(leaf);
+            }
+            // Label random nodes as parameters (repeats included), then cut a
+            // random subtree loose so garbage parameters exist too.
+            for _ in 0..rng.below(6) {
+                let node = nodes[rng.below(nodes.len())];
+                t.set_kind(node, NodeKind::Param(rng.below(4) as u32));
+            }
+            let cut = nodes[rng.below(nodes.len())];
+            if cut != t.root() {
+                t.detach(cut);
+            }
+            let params = t.param_nodes();
+            for i in 0..5 {
+                let first = params.iter().find(|&&(p, _)| p == i).map(|&(_, n)| n);
+                assert_eq!(t.find_param(i), first, "parameter y{}", i + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn journal_records_changed_nodes_only_while_held() {
+        let (mut t, ids) = sample();
+        assert_eq!(t.take_journal(), None, "no journal held");
+        t.set_kind(ids[1], term(7));
+        t.begin_journal();
+        assert_eq!(t.take_journal(), Some(vec![]));
+
+        // Detaching b moves c to child index 0: both are recorded.
+        t.detach(ids[1]);
+        let mut got = t.take_journal().unwrap();
+        got.sort();
+        assert_eq!(got, vec![ids[1], ids[2]]);
+
+        t.set_kind(ids[3], term(8));
+        let fresh = t.add_leaf(term(9));
+        t.replace_subtree(ids[2], fresh);
+        let got = t.take_journal().unwrap();
+        for node in [ids[3], fresh, ids[2]] {
+            assert!(got.contains(&node), "{node:?} missing from {got:?}");
+        }
+
+        // Clones start without a journal; compaction loses the node names.
+        let mut copy = t.clone();
+        copy.set_kind(fresh, term(6));
+        assert_eq!(copy.take_journal(), None);
+        t.compact();
+        assert_eq!(t.take_journal(), None, "compaction renumbers nodes");
+        assert_eq!(t.take_journal(), Some(vec![]), "recording resumes");
+
+        t.end_journal();
+        let root = t.root();
+        t.set_kind(root, term(5));
+        assert_eq!(t.take_journal(), None);
     }
 }
