@@ -65,8 +65,9 @@ fn bench_updates(c: &mut Criterion) {
 /// workload (mostly renames and inserts clustered under shared ancestors —
 /// the FLUX-style shape batching is built for). Both paths produce
 /// byte-identical documents (see `tests/updates_differential.rs`); only
-/// wall-time differs: the one-at-a-time path recomputes the grammar-wide
-/// size tables per operation, the batched path once per chunk.
+/// wall-time differs: one at a time, every operation is a batch of one that
+/// recomputes the grammar-wide size tables, while one batch computes them
+/// once and spans all its chunks with one isolation session.
 fn bench_updates_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("updates_batched");
     group.sample_size(10);

@@ -64,8 +64,13 @@
 //! that fails to decode is *not* such a per-op error: the original commit
 //! encoded a real grammar, so an undecodable payload behind a valid frame
 //! CRC is inconsistency, and it too surfaces as [`RepairError::WalCorrupt`].
-//! Version-1 checkpoints (eager, monolithic) are still decoded by the
-//! backward-compatibility shim in [`decode_checkpoint`].
+//! A checkpoint of any version but 3 is rejected with a typed
+//! [`RepairError::Storage`] error.
+//!
+//! Live updates and replayed updates run the same code: both
+//! [`DurableStore::apply`] and replay go through [`DomStore::apply_batch`],
+//! so a recovered grammar is the live grammar, byte for byte — failed
+//! operations included.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -82,14 +87,11 @@ use crate::navigate::NavTables;
 use crate::query::QueryMatches;
 use crate::repair::RepairStats;
 use crate::store::{DocId, DomStore, MaintenanceReport, SlabLayout, Snapshot};
-use crate::update::{BatchStats, UpdateStats};
+use crate::update::BatchStats;
 use crate::wal::{read_log, DiskFs, StorageFs, Wal, WalEntry, WalRecord};
 
 /// Magic bytes of the checkpoint file.
 pub const CHECKPOINT_MAGIC: &[u8; 4] = b"SLCK";
-/// Version byte of the original (eager, monolithic) checkpoint format,
-/// still accepted on open.
-pub const CHECKPOINT_VERSION: u8 = 1;
 /// Version byte of the paged, offset-indexed checkpoint format written by
 /// [`DurableStore::checkpoint`] (layout documented in [`crate::wal`]).
 pub const CHECKPOINT_VERSION_V3: u8 = 3;
@@ -230,23 +232,15 @@ impl DurableStore {
         let mut doc_lsns: HashMap<DocId, u64> = HashMap::new();
 
         if let Some(bytes) = fs.read(&ckpt)? {
-            match decode_checkpoint_any(&bytes)? {
-                CheckpointImage::V1 { last_lsn, layout, docs } => {
-                    report.checkpoint_lsn = last_lsn;
-                    report.checkpoint_docs = docs.len();
-                    store.restore_slab(layout, docs)?;
-                }
-                CheckpointImage::V3 { base_lsn, layout, segments, docs } => {
-                    report.checkpoint_lsn = base_lsn;
-                    report.checkpoint_docs = docs.len();
-                    let mut lazy = Vec::with_capacity(docs.len());
-                    for doc in docs {
-                        doc_lsns.insert(doc.id, doc.doc_lsn);
-                        lazy.push((doc.id, doc.payload, doc.crc));
-                    }
-                    store.restore_slab_lazy(layout, segments, lazy)?;
-                }
+            let image = decode_checkpoint(&bytes)?;
+            report.checkpoint_lsn = image.base_lsn;
+            report.checkpoint_docs = image.docs.len();
+            let mut lazy = Vec::with_capacity(image.docs.len());
+            for doc in image.docs {
+                doc_lsns.insert(doc.id, doc.doc_lsn);
+                lazy.push((doc.id, doc.payload, doc.crc));
             }
+            store.restore_slab(image.layout, image.segments, lazy)?;
         }
         report.checkpoint_elapsed = open_start.elapsed();
 
@@ -341,15 +335,9 @@ impl DurableStore {
         result
     }
 
-    /// Durable [`DomStore::apply`] (logged as a batch of one).
-    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        let lock = self.doc_lock(doc);
-        let _doc = lock.lock().expect("doc lock never poisoned");
-        self.wal.commit(&WalRecord::ApplyBatch {
-            doc,
-            ops: std::slice::from_ref(op),
-        })?;
-        self.store.apply(doc, op)
+    /// Durable [`DomStore::apply`]: logged and applied as a batch of one.
+    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(BatchStats, MaintenanceReport)> {
+        self.apply_batch(doc, std::slice::from_ref(op))
     }
 
     /// Durable [`DomStore::apply_batch`].
@@ -566,93 +554,10 @@ fn apply_entry(store: &DomStore, lsn: u64, offset: u64, entry: WalEntry) -> Resu
 
 // ----- checkpoint file format -----
 
-#[cfg(test)] // production writes v3; v1 encoding remains for compat tests
-fn encode_checkpoint(last_lsn: u64, layout: &SlabLayout, docs: &[(DocId, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(CHECKPOINT_MAGIC);
-    out.push(CHECKPOINT_VERSION);
-    out.extend_from_slice(&[0u8; 4]); // CRC placeholder
-    let body_start = out.len();
-    wire::write_varint(&mut out, last_lsn);
-    wire::write_varint(&mut out, layout.generations.len() as u64);
-    for &generation in &layout.generations {
-        wire::write_varint(&mut out, generation as u64);
-    }
-    wire::write_varint(&mut out, layout.free.len() as u64);
-    for &slot in &layout.free {
-        wire::write_varint(&mut out, slot as u64);
-    }
-    wire::write_varint(&mut out, layout.live.len() as u64);
-    for &id in &layout.live {
-        wire::write_varint(&mut out, id.slot() as u64);
-        wire::write_varint(&mut out, id.generation() as u64);
-    }
-    wire::write_varint(&mut out, docs.len() as u64);
-    for (id, bytes) in docs {
-        wire::write_varint(&mut out, id.slot() as u64);
-        wire::write_varint(&mut out, id.generation() as u64);
-        wire::write_varint(&mut out, bytes.len() as u64);
-        out.extend_from_slice(bytes);
-    }
-    let crc = sltgrammar::crc32::crc32(&out[body_start..]);
-    out[5..9].copy_from_slice(&crc.to_le_bytes());
-    out
-}
-
 fn ckpt_err(detail: impl Into<String>) -> RepairError {
     RepairError::Storage {
         detail: format!("checkpoint corrupt: {}", detail.into()),
     }
-}
-
-#[allow(clippy::type_complexity)]
-fn decode_checkpoint(bytes: &[u8]) -> Result<(u64, SlabLayout, Vec<(DocId, Grammar)>)> {
-    if bytes.len() < 9 || &bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(ckpt_err("bad magic bytes"));
-    }
-    if bytes[4] != CHECKPOINT_VERSION {
-        return Err(ckpt_err(format!("unsupported version {}", bytes[4])));
-    }
-    let expected = u32::from_le_bytes(bytes[5..9].try_into().expect("4 bytes"));
-    let found = sltgrammar::crc32::crc32(&bytes[9..]);
-    if expected != found {
-        return Err(ckpt_err(format!(
-            "checksum mismatch (header {expected:#010x}, body {found:#010x})"
-        )));
-    }
-    let mut r = WireReader::new(&bytes[9..]);
-    let fail = |e: xmltree::XmlError| ckpt_err(e.to_string());
-    let last_lsn = r.varint().map_err(fail)?;
-    let mut layout = SlabLayout::default();
-    let slots = bounded_count(&mut r, 1, "slot")?;
-    for _ in 0..slots {
-        layout.generations.push(r.varint().map_err(fail)? as u32);
-    }
-    let free = bounded_count(&mut r, 1, "free-slot")?;
-    for _ in 0..free {
-        layout.free.push(r.varint().map_err(fail)? as u32);
-    }
-    let live = bounded_count(&mut r, 2, "live-doc")?;
-    for _ in 0..live {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
-        layout.live.push(DocId::from_parts(slot, generation));
-    }
-    let doc_count = bounded_count(&mut r, 3, "document")?;
-    let mut docs = Vec::with_capacity(doc_count);
-    for _ in 0..doc_count {
-        let slot = r.varint().map_err(fail)? as u32;
-        let generation = r.varint().map_err(fail)? as u32;
-        let len = r.varint().map_err(fail)? as usize;
-        let grammar_bytes = r.bytes(len).map_err(fail)?;
-        let grammar = serialize::decode(grammar_bytes)
-            .map_err(|e| ckpt_err(format!("document grammar: {e}")))?;
-        docs.push((DocId::from_parts(slot, generation), grammar));
-    }
-    if !r.finished() {
-        return Err(ckpt_err("trailing bytes"));
-    }
-    Ok((last_lsn, layout, docs))
 }
 
 /// Reads a count bounded by the remaining input (each element needs at
@@ -679,35 +584,13 @@ struct DocExtent {
     crc: u32,
 }
 
-/// A decoded checkpoint file of either supported version.
-enum CheckpointImage {
-    /// Legacy eager image: every grammar decoded at open.
-    V1 {
-        last_lsn: u64,
-        layout: SlabLayout,
-        docs: Vec<(DocId, Grammar)>,
-    },
-    /// Paged lazy image: payloads adopted as undecoded bytes.
-    V3 {
-        base_lsn: u64,
-        layout: SlabLayout,
-        segments: Vec<(Vec<String>, Vec<usize>)>,
-        docs: Vec<DocExtent>,
-    },
-}
-
-fn decode_checkpoint_any(bytes: &[u8]) -> Result<CheckpointImage> {
-    if bytes.len() < 5 || &bytes[..4] != CHECKPOINT_MAGIC {
-        return Err(ckpt_err("bad magic bytes"));
-    }
-    match bytes[4] {
-        CHECKPOINT_VERSION => {
-            let (last_lsn, layout, docs) = decode_checkpoint(bytes)?;
-            Ok(CheckpointImage::V1 { last_lsn, layout, docs })
-        }
-        CHECKPOINT_VERSION_V3 => decode_checkpoint_v3(bytes),
-        v => Err(ckpt_err(format!("unsupported version {v}"))),
-    }
+/// A decoded checkpoint: the paged image whose document payloads are
+/// adopted as undecoded bytes.
+struct CheckpointImage {
+    base_lsn: u64,
+    layout: SlabLayout,
+    segments: Vec<(Vec<String>, Vec<usize>)>,
+    docs: Vec<DocExtent>,
 }
 
 /// Bytes before the first section: magic, version, nine `u64` header
@@ -798,8 +681,14 @@ fn encode_checkpoint_v3(
     out
 }
 
-fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
+fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointImage> {
     let crc32 = sltgrammar::crc32::crc32;
+    if bytes.len() < 5 || &bytes[..4] != CHECKPOINT_MAGIC {
+        return Err(ckpt_err("bad magic bytes"));
+    }
+    if bytes[4] != CHECKPOINT_VERSION_V3 {
+        return Err(ckpt_err(format!("unsupported version {}", bytes[4])));
+    }
     if bytes.len() < V3_HEADER_LEN {
         return Err(ckpt_err("v3 header truncated"));
     }
@@ -942,7 +831,7 @@ fn decode_checkpoint_v3(bytes: &[u8]) -> Result<CheckpointImage> {
     if !r.finished() {
         return Err(ckpt_err("v3 extents section has trailing bytes"));
     }
-    Ok(CheckpointImage::V3 {
+    Ok(CheckpointImage {
         base_lsn,
         layout,
         segments,
@@ -1197,28 +1086,75 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_open() {
+    fn v1_checkpoints_get_the_unsupported_version_error() {
+        // A well-formed v1 image of an empty store: magic, version 1, the
+        // body's CRC, then the body (lsn, slot, free, live and doc counts).
+        let body = [0u8; 5];
+        let mut bytes = CHECKPOINT_MAGIC.to_vec();
+        bytes.push(1);
+        bytes.extend_from_slice(&sltgrammar::crc32::crc32(&body).to_le_bytes());
+        bytes.extend_from_slice(&body);
+        let fs = Arc::new(FailpointFs::new());
+        fs.set_file("db/checkpoint.slck", bytes);
+        match DurableStore::open_with(fs, "db").map(|(_, report)| report) {
+            Err(RepairError::Storage { detail }) => {
+                assert!(detail.contains("unsupported version 1"), "{detail}")
+            }
+            other => panic!("expected the unsupported-version error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn single_op_writes_recover_to_identical_grammars() {
+        // Live single-op writes and their replay run the same batch engine,
+        // so recovery must reproduce every grammar byte for byte — failed
+        // operations included, not just the derived documents.
         let (fs, store) = mem_store();
-        let a = store.load_xml(&doc("feed", 2)).unwrap();
-        let b = store.load_xml(&doc("blog", 1)).unwrap();
-        let want_a = store.to_xml(a).unwrap().to_xml();
-        let want_b = store.to_xml(b).unwrap().to_xml();
-        // Write the legacy eager image by hand, as an old binary would have.
-        let layout = store.store.capture_slab();
-        let docs = vec![
-            (a, serialize::encode(&store.store.grammar(a).unwrap())),
-            (b, serialize::encode(&store.store.grammar(b).unwrap())),
+        let a = store.load_xml(&doc("feed", 4)).unwrap();
+        let b = store.load_xml(&doc("blog", 3)).unwrap();
+        // Renaming the null under the first <title/> fails at splice time,
+        // after isolation already grew the grammar.
+        let edges = store.edge_count(b).unwrap();
+        assert!(matches!(
+            store.apply(b, &UpdateOp::Rename { target: 3, label: "x".into() }),
+            Err(RepairError::InvalidUpdate { .. })
+        ));
+        assert!(store.edge_count(b).unwrap() > edges, "isolation ran before the failure");
+        // An out-of-range target is rejected before it touches the grammar.
+        assert!(matches!(
+            store.apply(a, &UpdateOp::Delete { target: 1_000_000 }),
+            Err(RepairError::TargetOutOfRange { .. })
+        ));
+        let ops = [
+            (a, UpdateOp::Rename { target: 1, label: "entry".into() }),
+            (a, UpdateOp::Delete { target: 7 }),
+            (
+                b,
+                UpdateOp::InsertBefore {
+                    target: 1,
+                    fragment: parse_xml("<ad><x/></ad>").unwrap(),
+                },
+            ),
+            (b, UpdateOp::Rename { target: 5, label: "promo".into() }),
         ];
-        let bytes = encode_checkpoint(store.wal.durable_lsn(), &layout, &docs);
-        fs.write_atomic("db/checkpoint.slck", &bytes).unwrap();
-        store.wal.truncate().unwrap();
+        for (id, op) in &ops {
+            store.apply(*id, op).unwrap();
+        }
+        let live: Vec<Vec<u8>> = [a, b]
+            .iter()
+            .map(|&id| serialize::encode(&store.grammar(id).unwrap()))
+            .collect();
         drop(store);
 
         let (recovered, report) = DurableStore::open_with(fs, "db").unwrap();
-        assert_eq!(report.checkpoint_docs, 2);
-        assert_eq!(report.lazy_docs, 0, "v1 images decode eagerly");
-        assert_eq!(recovered.to_xml(a).unwrap().to_xml(), want_a);
-        assert_eq!(recovered.to_xml(b).unwrap().to_xml(), want_b);
+        assert_eq!(report.replayed, 2 + 2 + ops.len() as u64);
+        for (&id, want) in [a, b].iter().zip(&live) {
+            assert_eq!(
+                &serialize::encode(&recovered.grammar(id).unwrap()),
+                want,
+                "recovered grammar of {id:?} differs from the live one"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Path isolation (paper Section III-A), single-target and batched.
+//! Path isolation (paper Section III-A).
 //!
 //! To update a node `u` of the derived tree `val(G)` we first make `u` appear
 //! as an explicit terminal node in the start rule: starting from the start
@@ -7,16 +7,19 @@
 //! that produce `u`. Lemma 1 of the paper bounds the growth caused by a single
 //! isolation by a factor of two, because every rule is inlined at most once.
 //!
-//! A *sequence* of k updates pays k of those walks, and — worse — the
-//! single-target [`isolate`] recomputes `own_sizes`/`segment_sizes` over the
-//! whole grammar per call and the start rule's subtree sizes per inlining.
-//! [`isolate_many`] amortizes all of that across a batch: the per-rule size
-//! tables are computed once, the start rule is walked once with the (sorted)
-//! targets distributed down the tree, subtree sizes are patched incrementally
-//! after each inlining instead of recomputed, and every nonterminal reference
-//! on any target path is inlined at most once — shared path prefixes are
-//! isolated once for the whole batch, so the Lemma-1 factor-two growth bound
-//! holds per *distinct* root-to-target path, not per target.
+//! [`IsolationBatch`] is the isolation every update runs through (via
+//! [`crate::update::apply_batch`]): the per-rule size tables are computed
+//! once per session, subtree sizes are patched incrementally after each
+//! inlining and splice instead of recomputed, and every nonterminal
+//! reference on any target path is inlined at most once — shared path
+//! prefixes are isolated once for the whole batch, so the Lemma-1
+//! factor-two growth bound holds per *distinct* root-to-target path, not per
+//! target. [`isolate_many`] exposes one such session over a target set.
+//!
+//! [`isolate`] is the paper's walk written out directly for one target,
+//! recomputing every table per call. No update path uses it; it stays as
+//! the reference the isolation property tests compare [`IsolationBatch`]
+//! against (a singleton batch must reproduce it byte for byte).
 
 use std::collections::HashMap;
 
@@ -35,7 +38,8 @@ pub struct IsolationStats {
 
 /// Makes the node with 0-based preorder index `target` of the derived tree
 /// `val(G)` explicit in the start rule and returns its node id there — the
-/// paper's `iso(G, u)`.
+/// paper's `iso(G, u)`, as a standalone reference walk (see the module
+/// docs): updates isolate through [`IsolationBatch`] instead.
 pub fn isolate(g: &mut Grammar, target: u128) -> Result<(NodeId, IsolationStats)> {
     let total = derived_size(g);
     if target >= total {
@@ -163,7 +167,8 @@ impl IsolationBatch {
         let sizes = subtree_derived_sizes(&g.rule(g.start()).rhs, &own);
         IsolationBatch {
             segments: segment_sizes(g),
-            total: derived_size(g),
+            // The start rule has rank 0: its own size is the derived size.
+            total: own[&g.start()],
             own,
             sizes,
             stats: IsolationStats::default(),

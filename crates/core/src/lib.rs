@@ -14,10 +14,10 @@
 //!   maintained occurrence table + frequency queue that keeps rounds from
 //!   paying O(grammar)) and [`replace`] (localization by minimal inlining,
 //!   greedy local replacement, fragment export).
-//! * [`isolate`] / [`update`] — path isolation (single-target and batched
-//!   over shared path prefixes) and the three atomic update operations
-//!   (rename, insert-before, delete-subtree) on the grammar, plus
-//!   [`update::apply_batch`] for whole operation sequences.
+//! * [`isolate`] / [`update`] — path isolation (shared path prefixes
+//!   isolated once) and the three update operations (rename, insert-before,
+//!   delete-subtree) on the grammar, all applied by one engine,
+//!   [`update::apply_batch`]; a single update is a batch of one.
 //! * [`udc`] — the update–decompress–compress baseline the paper compares against.
 //! * [`session`] / [`store`] — the application-facing handles:
 //!   [`session::CompressedDom`], a mutable always-compressed single-document

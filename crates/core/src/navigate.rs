@@ -1255,7 +1255,11 @@ mod tests {
             assert_eq!(c1.label(), c2.label());
         }
         // Any body mutation flips is_current through the version counters.
-        crate::update::rename(&mut g, 1, "c").unwrap();
+        let op = xmltree::updates::UpdateOp::Rename {
+            target: 1,
+            label: "c".to_string(),
+        };
+        crate::update::apply_update(&mut g, &op).unwrap();
         assert!(!tables.is_current(&g));
         let fresh = NavTables::build(&g);
         assert!(fresh.is_current(&g));

@@ -720,12 +720,17 @@ mod tests {
 
     #[test]
     fn queries_survive_recompression_and_updates() {
-        use crate::update::rename;
+        use crate::update::apply_update;
+        use xmltree::updates::UpdateOp;
         let (mut g, _) = compressed(DOC);
         let before = PathQuery::parse("//name").unwrap().count(&g);
         // Rename the first element (document root stays put at index 0 of the
         // binary preorder; rename element at binary preorder index 1).
-        rename(&mut g, 1, "zones").unwrap();
+        let op = UpdateOp::Rename {
+            target: 1,
+            label: "zones".to_string(),
+        };
+        apply_update(&mut g, &op).unwrap();
         let q = PathQuery::parse("/site/zones//name").unwrap();
         assert_eq!(q.count(&g), 3);
         assert_eq!(q.evaluate(&g).len(), 3);

@@ -16,26 +16,26 @@
 //! directly and let its debt-based scheduler decide, instead of N
 //! fixed-interval counters.
 //!
-//! # Single-operation vs batched updates
+//! # One update path
 //!
-//! [`CompressedDom::apply`] is the paper's per-operation path: one isolation
-//! walk (with its own `own_sizes`/`segment_sizes` computation) per update.
-//! [`CompressedDom::apply_batch`] routes a whole operation sequence through
+//! [`CompressedDom::apply_batch`] routes an operation sequence through
 //! [`crate::update::apply_batch`], which isolates shared path prefixes once
-//! per chunk — the natural fit for FLUX-style functional update programs that
-//! emit many edits clustered under common ancestors. Both paths produce
-//! byte-identical documents (asserted by the differential update-oracle
-//! harness); only the intermediate grammars differ.
+//! per batch — the natural fit for FLUX-style functional update programs
+//! that emit many edits clustered under common ancestors.
+//! [`CompressedDom::apply`] is the same call with a batch of one: a single
+//! update is a program of length one, and there is no second engine.
 //!
 //! # Recompression counting
 //!
-//! The recompression policy charges [`CompressedDom::apply`] one unit per
-//! operation and [`CompressedDom::apply_batch`] **one unit per non-empty
-//! batch**, regardless of the batch's length — a batch is one logical
-//! document transition, and its blow-up is bounded per distinct path rather
-//! than per operation, so charging it per operation would recompress far too
-//! eagerly. [`CompressedDom::total_updates`] still counts individual
-//! operations.
+//! The recompression policy charges **one unit per batch**, regardless of
+//! its length — a batch is one logical document transition, and its blow-up
+//! is bounded per distinct path rather than per operation, so charging it
+//! per operation would recompress far too eagerly. A single
+//! [`CompressedDom::apply`] is therefore one unit. Empty batches and batches
+//! whose first target is out of range mutate nothing and are free; every
+//! other batch is charged, whether it succeeds or fails.
+//! [`CompressedDom::total_updates`] still counts individual operations of
+//! fully applied batches.
 //!
 //! # Cached navigation tables
 //!
@@ -53,12 +53,12 @@ use sltgrammar::Grammar;
 use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
-use crate::error::{RepairError, Result};
+use crate::error::Result;
 use crate::navigate::{Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePairConfig, RepairStats};
 use crate::store::{DocId, DomStore, SchedulerConfig, Snapshot};
-use crate::update::{BatchStats, UpdateStats};
+use crate::update::BatchStats;
 
 /// Policy and state of a mutable compressed document — a single-document
 /// [`DomStore`] plus the paper's fixed-interval recompression counter.
@@ -210,72 +210,36 @@ impl CompressedDom {
         Self::state_ok(self.store.query_count(self.doc, query))
     }
 
-    /// Applies one update; recompresses automatically when the policy says so.
-    /// Returns the update statistics and, if triggered, the recompression stats.
-    ///
-    /// Splice-time failures (e.g. renaming a null node) are still charged
-    /// their policy unit: path isolation already ran and grew the grammar, so
-    /// skipping the charge would let repeated failures starve recompression.
-    /// Out-of-range targets are rejected before anything mutates and are not
-    /// charged. [`CompressedDom::total_updates`] only counts applied
-    /// operations.
-    pub fn apply(&mut self, op: &UpdateOp) -> Result<(UpdateStats, Option<RepairStats>)> {
-        let result = self.store.apply(self.doc, op).map(|(stats, _)| stats);
-        if matches!(result, Err(RepairError::TargetOutOfRange { .. })) {
-            return result.map(|stats| (stats, None));
-        }
-        self.updates_since_recompress += 1;
-        let due =
-            self.recompress_every > 0 && self.updates_since_recompress >= self.recompress_every;
-        match result {
-            Ok(stats) => {
-                let repair = due.then(|| self.recompress_now());
-                Ok((stats, repair))
-            }
-            Err(e) => {
-                if due {
-                    self.recompress_now();
-                }
-                Err(e)
-            }
-        }
+    /// Applies one update: a batch of one (see
+    /// [`CompressedDom::apply_batch`]).
+    pub fn apply(&mut self, op: &UpdateOp) -> Result<(BatchStats, Option<RepairStats>)> {
+        self.apply_batch(std::slice::from_ref(op))
     }
 
-    /// Applies a sequence of updates through the batched isolation pipeline
-    /// ([`crate::update::apply_batch`]): shared path prefixes are isolated
-    /// once per chunk instead of once per operation. The batch counts as
-    /// **one** unit toward `recompress_every` (see the module docs);
-    /// recompression, if due, runs after the whole batch.
+    /// Applies a sequence of updates through [`crate::update::apply_batch`]:
+    /// shared path prefixes are isolated once for the whole batch. The batch
+    /// counts as **one** unit toward `recompress_every` (see the module
+    /// docs); recompression, if due, runs after the whole batch.
     ///
     /// On error the document reflects every fully applied chunk (plus, for
     /// splice-time errors, the spliced prefix of the failing chunk — see
-    /// [`crate::update::apply_batch`]); the batch is still charged its
-    /// policy unit — applied chunks and isolation may have grown the grammar
-    /// — but [`CompressedDom::total_updates`] only counts fully applied
-    /// batches.
+    /// [`crate::update::apply_batch`]). A failing batch is still charged its
+    /// policy unit — applied chunks and isolation may have grown the grammar,
+    /// and skipping the charge would let repeated failures starve
+    /// recompression — unless its first target was out of range, which
+    /// mutates nothing. [`CompressedDom::total_updates`] only counts fully
+    /// applied batches.
     pub fn apply_batch(&mut self, ops: &[UpdateOp]) -> Result<(BatchStats, Option<RepairStats>)> {
-        let result = self.store.apply_batch(self.doc, ops).map(|(stats, _)| stats);
-        if ops.is_empty() {
+        let (result, charged) = self.store.apply_batch_charged(self.doc, ops);
+        let result = result.map(|(stats, _)| stats);
+        if !charged {
             return result.map(|stats| (stats, None));
         }
         self.updates_since_recompress += 1;
         let due =
             self.recompress_every > 0 && self.updates_since_recompress >= self.recompress_every;
-        match result {
-            Ok(stats) => {
-                let repair = due.then(|| self.recompress_now());
-                Ok((stats, repair))
-            }
-            Err(e) => {
-                // Keep the grammar bounded even on failing batches: the
-                // splices of completed chunks (and the isolation growth of
-                // the failing one) are real.
-                if due {
-                    self.recompress_now();
-                }
-                Err(e)
-            }
-        }
+        let repair = due.then(|| self.recompress_now());
+        result.map(|stats| (stats, repair))
     }
 
     /// Forces a GrammarRePair recompression.
@@ -295,6 +259,7 @@ impl CompressedDom {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RepairError;
     use xmltree::parse::parse_xml;
 
     fn doc(n: usize) -> XmlTree {
@@ -457,6 +422,40 @@ mod tests {
         assert_eq!(dom.total_updates(), 0, "only fully applied batches are counted");
         dom.grammar().validate().unwrap();
         assert_eq!(dom.label_at(elements[1] as u128).unwrap(), "ok");
+    }
+
+    #[test]
+    fn a_batch_rejected_at_its_first_target_is_free() {
+        let xml = doc(10);
+        let elements = element_positions(&xml);
+        let mut dom = CompressedDom::from_xml(&xml, 2);
+        dom.apply(&UpdateOp::Rename {
+            target: elements[1],
+            label: "x".to_string(),
+        })
+        .unwrap();
+        assert_eq!(dom.updates_since_recompress, 1);
+        let tables = dom.nav_tables();
+        let debt = dom.store.debt(dom.doc).unwrap();
+        // The first target is out of range: the batch mutates nothing, so
+        // however often it is retried it must not reach the policy threshold.
+        let batch = [
+            UpdateOp::Delete { target: 1_000_000 },
+            UpdateOp::Rename {
+                target: elements[3],
+                label: "never".to_string(),
+            },
+        ];
+        for _ in 0..3 {
+            assert!(matches!(
+                dom.apply_batch(&batch),
+                Err(RepairError::TargetOutOfRange { .. })
+            ));
+        }
+        assert!(Arc::ptr_eq(&tables, &dom.nav_tables()), "snapshot must stay published");
+        assert_eq!(dom.store.debt(dom.doc).unwrap(), debt);
+        assert_eq!(dom.recompressions(), 0);
+        assert_eq!(dom.updates_since_recompress, 1);
     }
 
     #[test]

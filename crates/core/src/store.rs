@@ -166,7 +166,7 @@ use crate::navigate::{Cursor, NavTables, PreorderLabels};
 use crate::query::{PathQuery, QueryMatches};
 use crate::repair::{GrammarRePair, GrammarRePairConfig, RepairStats};
 use crate::sync::ArcSwapCell;
-use crate::update::{apply_batch, apply_update, BatchStats, UpdateStats};
+use crate::update::{apply_batch_indexed, BatchStats};
 
 /// The distinct terminals occurring in `g`'s rule bodies — a document's own
 /// alphabet, as opposed to whatever else its symbol table carries.
@@ -628,7 +628,7 @@ impl StoreInner {
     /// master table (committing only on success), relabels the bodies when
     /// the id assignment differs, and replaces the grammar's table with a
     /// sealed master clone — the shared-alphabet rebase behind
-    /// [`DomStore::load_grammar`] and checkpoint restoration.
+    /// [`DomStore::load_grammar`].
     fn rebase_onto_master(&self, grammar: &mut Grammar) -> Result<()> {
         let used = used_terms(grammar);
         let mut master = self.symbols.lock().expect("master lock");
@@ -675,55 +675,42 @@ impl StoreInner {
         id
     }
 
-    /// Applies one mutation under the shard lock; the closure runs on the
-    /// copy-on-write grammar and reports `(result, edges_after)` so the
-    /// shard's counters stay exact without re-walking the grammar.
-    fn apply_one(&self, doc: DocId, op: &UpdateOp) -> Result<UpdateStats> {
-        let shard = self.resolve(doc)?;
+    /// Applies a batch under the shard lock, keeping the shard's counters
+    /// exact without re-walking the grammar. Returns whether the batch was
+    /// **charged**: every non-empty batch is, except one rejected before it
+    /// touched the grammar (an unknown document, or a first target out of
+    /// range). A charged batch marks the shard dirty, and its growth becomes
+    /// debt whether it succeeded or failed.
+    fn apply_batch_one(&self, doc: DocId, ops: &[UpdateOp]) -> (Result<BatchStats>, bool) {
+        let shard = match self.resolve(doc) {
+            Ok(shard) => shard,
+            Err(e) => return (Err(e), false),
+        };
         let mut guard = shard.write.lock().expect("shard lock never poisoned");
         let grammar = Arc::make_mut(&mut guard);
-        let result = apply_update(grammar, op);
-        match &result {
-            Err(RepairError::TargetOutOfRange { .. }) => {
-                // Rejected before anything mutated: the published snapshot
-                // still matches the write state.
-            }
-            Ok(stats) => {
-                shard.current_edges.store(stats.edges_after, Ordering::Relaxed);
-                shard.total_updates.fetch_add(1, Ordering::Relaxed);
-                shard.clean.store(false, Ordering::Release);
-            }
-            Err(_) => {
-                // Splice-time failure: isolation already grew the grammar.
-                shard
-                    .current_edges
-                    .store(grammar.edge_count(), Ordering::Relaxed);
-                shard.clean.store(false, Ordering::Release);
-            }
-        }
-        result
-    }
-
-    fn apply_batch_one(&self, doc: DocId, ops: &[UpdateOp]) -> Result<BatchStats> {
-        let shard = self.resolve(doc)?;
-        let mut guard = shard.write.lock().expect("shard lock never poisoned");
-        let grammar = Arc::make_mut(&mut guard);
-        let result = apply_batch(grammar, ops);
-        match &result {
+        let result = match apply_batch_indexed(grammar, ops) {
             Ok(stats) => {
                 shard.current_edges.store(stats.edges_after, Ordering::Relaxed);
                 shard.total_updates.fetch_add(ops.len(), Ordering::Relaxed);
+                Ok(stats)
             }
-            Err(_) => {
+            // Rejected at its first op's range check, before any isolation:
+            // nothing mutated, so nothing is charged.
+            Err((0, e @ RepairError::TargetOutOfRange { .. })) => return (Err(e), false),
+            Err((_, e)) => {
+                // Isolation (and maybe earlier splices) already grew the
+                // grammar.
                 shard
                     .current_edges
                     .store(grammar.edge_count(), Ordering::Relaxed);
+                Err(e)
             }
-        }
-        if !ops.is_empty() {
+        };
+        let charged = !ops.is_empty();
+        if charged {
             shard.clean.store(false, Ordering::Release);
         }
-        result
+        (result, charged)
     }
 
     /// Post-update scheduling: inline sweep, or a signal to the background
@@ -1282,46 +1269,50 @@ impl DomStore {
 
     // ----- updates and scheduling -----
 
-    /// Applies one update to a document, then (under [`SchedulerConfig::auto`])
-    /// runs a maintenance sweep over the *whole store* — inline, or signalled
-    /// to the background thread when one is attached (empty report then).
-    ///
-    /// Error semantics match the single-document handle: out-of-range targets
-    /// are rejected before anything mutates; splice-time failures leave the
-    /// isolation growth in place (debt measures it, so maintenance still
-    /// happens — failing updates cannot starve recompression). Note that a
-    /// sweep triggered by a *failing* update has no channel back to the
-    /// caller (`Err` carries no report); callers tracking drain events
-    /// exactly should observe [`DomStore::recompressions`] instead.
-    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(UpdateStats, MaintenanceReport)> {
-        let result = self.inner.apply_one(doc, op);
-        if matches!(&result, Err(RepairError::TargetOutOfRange { .. })) {
-            // Rejected before anything mutated: no debt, no maintenance.
-            return result.map(|stats| (stats, MaintenanceReport::default()));
-        }
-        let report = self.inner.after_update();
-        result.map(|stats| (stats, report))
+    /// Applies one update to a document: a batch of one (see
+    /// [`DomStore::apply_batch`]).
+    pub fn apply(&self, doc: DocId, op: &UpdateOp) -> Result<(BatchStats, MaintenanceReport)> {
+        self.apply_batch(doc, std::slice::from_ref(op))
     }
 
-    /// Applies an operation sequence to a document through the batched
-    /// isolation pipeline (shared path prefixes isolated once per chunk),
-    /// then (under [`SchedulerConfig::auto`]) runs or signals a maintenance
-    /// sweep like [`DomStore::apply`].
+    /// Applies an operation sequence to a document through
+    /// [`crate::update::apply_batch`] (one isolation session for the whole
+    /// batch), then (under [`SchedulerConfig::auto`]) runs a maintenance
+    /// sweep over the *whole store* — inline, or signalled to the background
+    /// thread when one is attached (empty report then).
     ///
-    /// On error the document reflects every fully applied chunk, and the
-    /// growth is tracked as debt (see [`crate::update::apply_batch`]).
+    /// On error the document reflects every fully applied chunk (plus, for
+    /// splice-time errors, the spliced prefix of the failing chunk). One rule
+    /// covers every batch, single updates included: a batch whose **first**
+    /// target is out of range mutated nothing, so it leaves the published
+    /// snapshot in place, adds no debt and triggers no sweep. Every other
+    /// non-empty batch is charged whether it succeeds or fails: its growth
+    /// is tracked as debt, so failing updates cannot starve recompression.
+    /// A sweep triggered by a *failing* batch has no channel back to the
+    /// caller (`Err` carries no report); callers tracking drain events
+    /// exactly should observe [`DomStore::recompressions`] instead.
     pub fn apply_batch(
         &self,
         doc: DocId,
         ops: &[UpdateOp],
     ) -> Result<(BatchStats, MaintenanceReport)> {
-        let result = self.inner.apply_batch_one(doc, ops);
-        let report = if ops.is_empty() {
-            MaintenanceReport::default()
-        } else {
+        self.apply_batch_charged(doc, ops).0
+    }
+
+    /// [`DomStore::apply_batch`], also reporting whether the batch was
+    /// charged (see its docs) — what a fixed-interval policy counts.
+    pub(crate) fn apply_batch_charged(
+        &self,
+        doc: DocId,
+        ops: &[UpdateOp],
+    ) -> (Result<(BatchStats, MaintenanceReport)>, bool) {
+        let (result, charged) = self.inner.apply_batch_one(doc, ops);
+        let report = if charged {
             self.inner.after_update()
+        } else {
+            MaintenanceReport::default()
         };
-        result.map(|stats| (stats, report))
+        (result.map(|stats| (stats, report)), charged)
     }
 
     /// Applies one batch per document **in parallel** over a small worker
@@ -1330,23 +1321,24 @@ impl DomStore {
     /// run concurrently on their own shards; jobs sharing a document
     /// serialize on its shard lock in unspecified relative order (pass
     /// distinct ids for deterministic results). One maintenance sweep (or
-    /// background signal) runs after all jobs, not one per job.
+    /// background signal) runs after all jobs if any job was charged, not
+    /// one per job.
     ///
     /// Returns per-job results in job order plus the sweep's report.
     pub fn apply_batch_many(
         &self,
         jobs: &[(DocId, Vec<UpdateOp>)],
     ) -> (Vec<Result<BatchStats>>, MaintenanceReport) {
-        let results = fan_out(jobs.len(), |i| {
+        let outcomes = fan_out(jobs.len(), |i| {
             let (doc, ops) = &jobs[i];
             self.inner.apply_batch_one(*doc, ops)
         });
-        let report = if jobs.iter().any(|(_, ops)| !ops.is_empty()) {
+        let report = if outcomes.iter().any(|&(_, charged)| charged) {
             self.inner.after_update()
         } else {
             MaintenanceReport::default()
         };
-        (results, report)
+        (outcomes.into_iter().map(|(result, _)| result).collect(), report)
     }
 
     /// Runs one maintenance sweep: recompresses eligible documents (debt ≥
@@ -1380,64 +1372,6 @@ impl DomStore {
         }
     }
 
-    /// Rebuilds an **empty** store from a captured layout plus the grammars
-    /// of the live documents (supplied in live order so master-table
-    /// interning is deterministic). Each grammar is rebased onto the shared
-    /// symbol table like [`DomStore::load_grammar`] does, but placed at its
-    /// recorded `(slot, generation)` instead of through slab allocation.
-    pub(crate) fn restore_slab(
-        &self,
-        layout: SlabLayout,
-        docs: Vec<(DocId, Grammar)>,
-    ) -> Result<()> {
-        let _guard = self.inner.map_write.lock().expect("map lock never poisoned");
-        if !self.inner.map.load().live.is_empty() {
-            return Err(RepairError::Storage {
-                detail: "checkpoint restore requires an empty store".to_string(),
-            });
-        }
-        let mut slots: Vec<Slot> = layout
-            .generations
-            .iter()
-            .map(|&generation| Slot {
-                generation,
-                shard: None,
-                pending: None,
-            })
-            .collect();
-        for (id, mut grammar) in docs {
-            self.inner.rebase_onto_master(&mut grammar)?;
-            let slot = slots.get_mut(id.index()).ok_or(RepairError::Storage {
-                detail: format!("checkpoint document slot {} exceeds the slab", id.slot),
-            })?;
-            if slot.generation != id.generation || slot.shard.is_some() {
-                return Err(RepairError::Storage {
-                    detail: format!(
-                        "checkpoint document (slot {}, generation {}) conflicts with the slab layout",
-                        id.slot, id.generation
-                    ),
-                });
-            }
-            slot.shard = Some(Arc::new(DocShard::new(grammar)));
-        }
-        for &id in &layout.live {
-            let ok = slots
-                .get(id.index())
-                .is_some_and(|slot| slot.generation == id.generation && slot.shard.is_some());
-            if !ok {
-                return Err(RepairError::Storage {
-                    detail: format!("checkpoint live document (slot {}) has no grammar", id.slot),
-                });
-            }
-        }
-        self.inner.map.store(Arc::new(DocMap {
-            slots,
-            free: layout.free,
-            live: layout.live,
-        }));
-        Ok(())
-    }
-
     /// Rebuilds an **empty** store from a checkpoint-v3 image: the master
     /// symbol table is adopted wholesale from its sealed segment runs (no
     /// per-symbol re-intern, segment boundaries intact) and every document
@@ -1445,7 +1379,7 @@ impl DomStore {
     /// recorded `(slot, generation)`, decoded lazily on first touch — so
     /// the restore itself is O(image), not O(decode + rebase) over the
     /// fleet.
-    pub(crate) fn restore_slab_lazy(
+    pub(crate) fn restore_slab(
         &self,
         layout: SlabLayout,
         segments: Vec<(Vec<String>, Vec<usize>)>,
@@ -1761,6 +1695,50 @@ mod tests {
             store.edge_count(a).unwrap(),
             store.grammar(a).unwrap().edge_count()
         );
+    }
+
+    #[test]
+    fn a_batch_rejected_at_its_first_target_is_free() {
+        let manual = SchedulerConfig {
+            debt_threshold: 1,
+            drain_budget: 0,
+            auto: false,
+        };
+        let store = DomStore::new().with_scheduler(manual);
+        let xml = doc("feed", 8);
+        let elements = element_positions(&xml);
+        let a = store.load_xml(&xml).unwrap();
+        store
+            .apply(a, &UpdateOp::Rename { target: elements[1], label: "x".into() })
+            .unwrap();
+        let debt = store.debt(a).unwrap();
+        assert!(debt >= 1);
+        // From here on any charged write triggers a sweep that drains `a`.
+        store.set_scheduler(SchedulerConfig { auto: true, ..manual });
+        let tables = store.nav_tables(a).unwrap();
+        let rejected = vec![
+            UpdateOp::Delete { target: 1_000_000 },
+            UpdateOp::Rename { target: elements[3], label: "never".into() },
+        ];
+        assert!(matches!(
+            store.apply_batch(a, &rejected),
+            Err(RepairError::TargetOutOfRange { .. })
+        ));
+        let (results, report) = store.apply_batch_many(&[(a, rejected)]);
+        assert!(matches!(results[0], Err(RepairError::TargetOutOfRange { .. })));
+        assert!(report.is_empty());
+        let unchanged = Arc::ptr_eq(&tables, &store.nav_tables(a).unwrap());
+        assert!(unchanged, "snapshot must stay published");
+        assert_eq!(store.debt(a).unwrap(), debt);
+        assert_eq!(store.recompressions(a).unwrap(), 0, "no sweep may run");
+        // A later out-of-range target is charged: its chunk isolated the
+        // targets before it, and the sweep that follows drains the debt.
+        let late = [
+            UpdateOp::Rename { target: elements[3], label: "y".into() },
+            UpdateOp::Delete { target: 1_000_000 },
+        ];
+        assert!(store.apply_batch(a, &late).is_err());
+        assert_eq!(store.recompressions(a).unwrap(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use treerepair::{TreeRePair, TreeRePairConfig};
 use xmltree::updates::UpdateOp;
 
 use crate::error::Result;
-use crate::update::apply_updates;
+use crate::update::apply_batch;
 
 /// Timing and size breakdown of one udc run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -54,7 +54,7 @@ pub fn update_decompress_compress(
     let mut updated = g.clone();
 
     let t0 = Instant::now();
-    apply_updates(&mut updated, ops)?;
+    apply_batch(&mut updated, ops)?;
     stats.update_time = t0.elapsed();
 
     let t1 = Instant::now();
@@ -108,9 +108,11 @@ mod tests {
             },
             UpdateOp::Delete { target: 4 },
         ];
-        // Oracle: apply the same updates on the grammar only.
+        // Oracle: apply the same updates on the grammar only, one at a time.
         let mut oracle = g.clone();
-        crate::update::apply_updates(&mut oracle, &ops).unwrap();
+        for op in &ops {
+            crate::update::apply_update(&mut oracle, op).unwrap();
+        }
 
         let (result, stats) = update_decompress_compress(&g, &ops, TreeRePairConfig::default()).unwrap();
         result.validate().unwrap();

@@ -1,5 +1,4 @@
-//! Atomic and batched updates on grammar-compressed XML (paper Section III
-//! and V-C).
+//! Updates on grammar-compressed XML (paper Sections III and V-C).
 //!
 //! All three update operations — rename, insert-before, delete-subtree — are
 //! executed directly on the grammar: the target node is made explicit in the
@@ -8,12 +7,18 @@
 //! document takes place; repeated updates gradually blow the grammar up, which
 //! is what [`crate::repair::GrammarRePair`] undoes.
 //!
-//! # Batched updates
+//! # One update path
 //!
-//! [`apply_batch`] executes a *sequence* of operations (each addressed, like
-//! the sequential API, against the document state produced by the preceding
-//! operations) without paying one full isolation per operation. One
-//! [`IsolationBatch`] session spans the whole call — `own_sizes` /
+//! [`apply_batch`] is the only code that applies updates. It executes a
+//! *sequence* of operations, each addressed against the document state
+//! produced by the preceding operations, the way FLUX-style update programs
+//! are written; a single update is a program of length one, and
+//! [`apply_update`] is exactly that singleton batch. Every handle —
+//! [`crate::store::DomStore`], [`crate::durable::DurableStore`] (live and
+//! during log replay), [`crate::session::CompressedDom`] and the
+//! [`crate::udc`] baseline — goes through it.
+//!
+//! One [`IsolationBatch`] session spans the whole call — `own_sizes` /
 //! `segment_sizes` are computed once per batch (splices only edit the start
 //! rule, so they stay valid) and the start rule's subtree-size table is
 //! patched through every splice instead of recomputed. The sequence is cut
@@ -36,13 +41,13 @@
 //!
 //! A chunk ends only when an operation targets a node *inside* a fragment
 //! inserted earlier in the same chunk (its pre-chunk coordinate does not
-//! exist) or deletes at a position a null node occupies (the splice is
-//! planned, fails like the sequential API would, and nothing past it is);
-//! the next chunk then starts from the updated grammar. Deletes themselves
-//! no longer flush: mixed insert/delete streams — the paper's 90/10 workload
-//! and FLUX-style functional update programs — batch at full length.
-//! Unreachable rules are garbage collected once per chunk that deleted, not
-//! per delete.
+//! exist), deletes at a position a null node occupies (the splice is
+//! planned and fails, and nothing past it is), or renames to the null label
+//! (the next chunk rejects it before isolating its target); the next chunk
+//! then starts from the updated grammar. Deletes themselves do not flush: mixed
+//! insert/delete streams — the paper's 90/10 workload — batch at full
+//! length. Unreachable rules are garbage collected once per chunk that
+//! deleted, not per delete.
 
 use sltgrammar::{Grammar, NodeId, NodeKind};
 use xmltree::binary::to_binary;
@@ -50,18 +55,7 @@ use xmltree::updates::UpdateOp;
 use xmltree::XmlTree;
 
 use crate::error::{RepairError, Result};
-use crate::isolate::{isolate, IsolationBatch, IsolationStats};
-
-/// Statistics of one grammar update.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UpdateStats {
-    /// Path isolation cost.
-    pub isolation: IsolationStats,
-    /// Grammar edges before the update.
-    pub edges_before: usize,
-    /// Grammar edges after the update.
-    pub edges_after: usize,
-}
+use crate::isolate::{IsolationBatch, IsolationStats};
 
 fn expect_element(g: &Grammar, node: NodeId) -> Result<()> {
     let kind = g.rule(g.start()).rhs.kind(node);
@@ -76,13 +70,8 @@ fn expect_element(g: &Grammar, node: NodeId) -> Result<()> {
     }
 }
 
-/// Splice part of `rename`: relabels the already-isolated start-rule node.
+/// Relabels the already-isolated start-rule node.
 fn rename_node(g: &mut Grammar, node: NodeId, label: &str) -> Result<()> {
-    if label == sltgrammar::NULL_SYMBOL_NAME {
-        return Err(RepairError::InvalidUpdate {
-            detail: "cannot rename a node to the null symbol".to_string(),
-        });
-    }
     expect_element(g, node)?;
     let term = g
         .symbols
@@ -103,8 +92,7 @@ fn node_is_null(g: &Grammar, node: NodeId) -> bool {
     }
 }
 
-/// Splice part of `insert_before`: grafts `fragment` before the
-/// already-isolated start-rule node. Returns the graft root and the number of
+/// Grafts `fragment` before the already-isolated start-rule node. Returns the graft root and the number of
 /// derived nodes the document grew by (`2n` for an n-element fragment,
 /// whether the target was an element or a consumed null).
 fn insert_node(g: &mut Grammar, node: NodeId, fragment: &XmlTree) -> Result<(NodeId, u128)> {
@@ -126,8 +114,8 @@ fn insert_node(g: &mut Grammar, node: NodeId, fragment: &XmlTree) -> Result<(Nod
     Ok((frag_root, 2 * fragment.node_count() as u128))
 }
 
-/// Splice part of `delete`: removes the element subtree at the
-/// already-isolated start-rule node. The caller is responsible for `gc`.
+/// Removes the element subtree at the already-isolated start-rule node. The
+/// caller is responsible for `gc`.
 fn delete_node(g: &mut Grammar, node: NodeId) -> Result<()> {
     expect_element(g, node)?;
     let start = g.start();
@@ -138,68 +126,10 @@ fn delete_node(g: &mut Grammar, node: NodeId) -> Result<()> {
     Ok(())
 }
 
-/// `rename(G, u, σ)`: relabels the element at preorder index `target` of the
-/// derived tree with `label`.
-pub fn rename(g: &mut Grammar, target: u128, label: &str) -> Result<UpdateStats> {
-    if label == sltgrammar::NULL_SYMBOL_NAME {
-        return Err(RepairError::InvalidUpdate {
-            detail: "cannot rename a node to the null symbol".to_string(),
-        });
-    }
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    rename_node(g, node, label)?;
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
-    })
-}
-
-/// `insert(G, u, s)`: inserts the element `fragment` as a new previous sibling
-/// of the node at preorder index `target` (or at that empty position when the
-/// target is a null node).
-pub fn insert_before(g: &mut Grammar, target: u128, fragment: &XmlTree) -> Result<UpdateStats> {
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    insert_node(g, node, fragment)?;
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
-    })
-}
-
-/// `delete(G, u)`: deletes the element subtree rooted at preorder index
-/// `target`, splicing its following siblings into its place. Rules that become
-/// unreachable are garbage collected.
-pub fn delete(g: &mut Grammar, target: u128) -> Result<UpdateStats> {
-    let edges_before = g.edge_count();
-    let (node, isolation) = isolate(g, target)?;
-    delete_node(g, node)?;
-    g.gc();
-    Ok(UpdateStats {
-        isolation,
-        edges_before,
-        edges_after: g.edge_count(),
-    })
-}
-
 /// Applies one [`UpdateOp`] (shared with the uncompressed reference semantics)
-/// to the grammar.
-pub fn apply_update(g: &mut Grammar, op: &UpdateOp) -> Result<UpdateStats> {
-    match op {
-        UpdateOp::Rename { target, label } => rename(g, *target as u128, label),
-        UpdateOp::InsertBefore { target, fragment } => {
-            insert_before(g, *target as u128, fragment)
-        }
-        UpdateOp::Delete { target } => delete(g, *target as u128),
-    }
-}
-
-/// Applies a sequence of updates in order, returning per-update statistics.
-pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStats>> {
-    ops.iter().map(|op| apply_update(g, op)).collect()
+/// to the grammar: a batch of one.
+pub fn apply_update(g: &mut Grammar, op: &UpdateOp) -> Result<BatchStats> {
+    apply_batch(g, std::slice::from_ref(op))
 }
 
 /// Statistics of one [`apply_batch`] call.
@@ -207,8 +137,8 @@ pub fn apply_updates(g: &mut Grammar, ops: &[UpdateOp]) -> Result<Vec<UpdateStat
 pub struct BatchStats {
     /// Number of operations applied.
     pub ops: usize,
-    /// Number of chunks the sequence was cut into (each chunk pays one
-    /// isolation-table computation).
+    /// Number of chunks the sequence was cut into (see the module docs for
+    /// where a chunk ends).
     pub chunks: usize,
     /// Total isolation cost over all chunks.
     pub isolation: IsolationStats,
@@ -346,33 +276,49 @@ impl RegionMap {
     }
 }
 
-/// Applies a sequence of updates with **batched path isolation**: operations
-/// use the same sequential addressing as [`apply_updates`] (each target refers
-/// to the document produced by the preceding operations), but
-/// `own_sizes`/`segment_sizes` are computed once per batch and nonterminal
-/// references on shared path prefixes are inlined once instead of per
-/// operation. See the module docs for the chunking rules. Unreachable rules
-/// are garbage collected once per deleting chunk, not per delete.
+/// Applies a sequence of updates, each target addressed against the document
+/// produced by the preceding operations. `own_sizes`/`segment_sizes` are
+/// computed once per batch and nonterminal references on shared path
+/// prefixes are inlined once instead of per operation. See the module docs
+/// for the chunking rules. Unreachable rules are garbage collected once per
+/// deleting chunk, not per delete.
 ///
-/// The resulting document is identical to [`apply_updates`]' (asserted
-/// byte-for-byte by the differential update-oracle harness); the grammars may
-/// differ structurally because the batch isolates eagerly.
+/// The resulting document is the one the uncompressed reference
+/// (`xmltree::updates`) produces, asserted byte-for-byte by the differential
+/// update-oracle harness.
 ///
 /// # Errors
 ///
 /// Targets are validated while a chunk is planned, so an out-of-range target
 /// aborts its **whole chunk** before any of that chunk's splices run
-/// (operations of earlier chunks remain applied). Errors raised by the
-/// splices themselves (renaming or deleting a null node, a label rank
-/// conflict) leave the chunk's already-spliced prefix applied, like the
-/// sequential API would.
+/// (operations of earlier chunks remain applied; the targets the chunk
+/// isolated before it stay isolated). Errors raised by the splices
+/// themselves (renaming or deleting a null node, a label rank conflict)
+/// leave the chunk's already-spliced prefix applied. A rename to the null
+/// label fails after every operation before it is applied, without
+/// isolating its own target. Only a batch whose **first** target is out of
+/// range leaves the grammar untouched and goes uncharged.
 pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
+    apply_batch_indexed(g, ops).map_err(|(_, e)| e)
+}
+
+/// [`apply_batch`], with the index of the failing operation returned
+/// alongside the error: `(0, TargetOutOfRange)` is the one failure that
+/// left the grammar untouched, which handles do not charge.
+pub(crate) fn apply_batch_indexed(
+    g: &mut Grammar,
+    ops: &[UpdateOp],
+) -> std::result::Result<BatchStats, (usize, RepairError)> {
+    let edges = g.edge_count();
     let mut stats = BatchStats {
         ops: ops.len(),
-        edges_before: g.edge_count(),
-        edges_after: g.edge_count(),
+        edges_before: edges,
+        edges_after: edges,
         ..BatchStats::default()
     };
+    if ops.is_empty() {
+        return Ok(stats);
+    }
     // One isolation session for the whole batch: splices only edit the start
     // rule, so the per-rule tables survive every chunk (and the per-chunk
     // `gc`, which never renumbers surviving rules); the subtree-size table
@@ -388,11 +334,21 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
         let mut chunk_deletes = false;
         let mut j = i;
         while j < ops.len() {
+            if matches!(&ops[j], UpdateOp::Rename { label, .. } if label == sltgrammar::NULL_SYMBOL_NAME)
+            {
+                // Rejected before its target is isolated, so the invalid op
+                // grows nothing; the ops planned before it still land.
+                if j == i {
+                    let detail = "cannot rename a node to the null symbol".to_string();
+                    return Err((j, RepairError::InvalidUpdate { detail }));
+                }
+                break;
+            }
             let t = ops[j].target() as u128;
             let Some(base) = regions.resolve(t) else {
                 break; // target lives inside a fragment this chunk inserted
             };
-            let node = batch.isolate_one(g, base)?;
+            let node = batch.isolate_one(g, base).map_err(|e| (j, e))?;
             planned.push((j, node));
             j += 1;
             match &ops[j - 1] {
@@ -410,8 +366,8 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
                 UpdateOp::Delete { .. } => {
                     chunk_deletes = true;
                     if node_is_null(g, node) {
-                        // The splice will fail on the null target exactly
-                        // like the sequential API; plan nothing past it.
+                        // The splice will fail on the null target; plan
+                        // nothing past it.
                         break;
                     }
                     // The removed preorder range is the element plus its
@@ -430,24 +386,7 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
         // nulls and deleted subtrees are unreachable by construction — a
         // later target never resolves into a removed base range.
         for &(k, node) in &planned {
-            match &ops[k] {
-                UpdateOp::Rename { label, .. } => rename_node(g, node, label)?,
-                UpdateOp::InsertBefore { fragment, .. } => {
-                    let (frag_root, grown) = insert_node(g, node, fragment)?;
-                    batch.note_inserted(g, frag_root, grown);
-                }
-                UpdateOp::Delete { .. } => {
-                    expect_element(g, node)?;
-                    let start = g.start();
-                    let parent = g.rule(start).rhs.parent(node);
-                    let content = g.rule(start).rhs.children(node)[0];
-                    // Splice-time size: earlier splices of this chunk may
-                    // have grown or shrunk the subtree being removed.
-                    let removed = 1 + batch.subtree_size(content);
-                    delete_node(g, node)?;
-                    batch.note_removed(g, parent, removed);
-                }
-            }
+            splice(g, &mut batch, &ops[k], node).map_err(|e| (k, e))?;
         }
         if chunk_deletes {
             g.gc();
@@ -457,6 +396,30 @@ pub fn apply_batch(g: &mut Grammar, ops: &[UpdateOp]) -> Result<BatchStats> {
     stats.isolation = batch.stats();
     stats.edges_after = g.edge_count();
     Ok(stats)
+}
+
+/// Runs one planned splice on its isolated start-rule node, patching the
+/// session's size table.
+fn splice(g: &mut Grammar, batch: &mut IsolationBatch, op: &UpdateOp, node: NodeId) -> Result<()> {
+    match op {
+        UpdateOp::Rename { label, .. } => rename_node(g, node, label)?,
+        UpdateOp::InsertBefore { fragment, .. } => {
+            let (frag_root, grown) = insert_node(g, node, fragment)?;
+            batch.note_inserted(g, frag_root, grown);
+        }
+        UpdateOp::Delete { .. } => {
+            expect_element(g, node)?;
+            let start = g.start();
+            let parent = g.rule(start).rhs.parent(node);
+            let content = g.rule(start).rhs.children(node)[0];
+            // Splice-time size: earlier splices of this chunk may have grown
+            // or shrunk the subtree being removed.
+            let removed = 1 + batch.subtree_size(content);
+            delete_node(g, node)?;
+            batch.note_removed(g, parent, removed);
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -498,11 +461,11 @@ mod tests {
             .map(|(i, _)| i)
             .nth(1)
             .unwrap();
-        rename(&mut g, idx as u128, "magazine").unwrap();
         let op = UpdateOp::Rename {
             target: idx,
             label: "magazine".to_string(),
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -521,11 +484,11 @@ mod tests {
             .map(|(i, _)| i)
             .nth(2)
             .unwrap();
-        insert_before(&mut g, idx as u128, &fragment).unwrap();
         let op = UpdateOp::InsertBefore {
             target: idx,
             fragment,
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -543,11 +506,11 @@ mod tests {
             .find(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.is_null(t)))
             .map(|(i, _)| i)
             .unwrap();
-        insert_before(&mut g, idx as u128, &fragment).unwrap();
         let op = UpdateOp::InsertBefore {
             target: idx,
             fragment,
         };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -564,8 +527,8 @@ mod tests {
             .map(|(i, _)| i)
             .nth(1)
             .unwrap();
-        delete(&mut g, idx as u128).unwrap();
         let op = UpdateOp::Delete { target: idx };
+        apply_update(&mut g, &op).unwrap();
         reference::apply_update(&mut bin, &mut symbols, &op).unwrap();
         g.validate().unwrap();
         assert_equivalent(&g, &bin, &symbols);
@@ -584,10 +547,23 @@ mod tests {
             .find(|(_, &n)| matches!(bin.kind(n), NodeKind::Term(t) if symbols.is_null(t)))
             .map(|(i, _)| i)
             .unwrap();
-        assert!(rename(&mut g, null_idx as u128, "x").is_err());
-        assert!(rename(&mut g, 0, "#").is_err());
+        let rename = |target: usize, label: &str| UpdateOp::Rename {
+            target,
+            label: label.to_string(),
+        };
+        assert!(apply_update(&mut g, &rename(null_idx, "x")).is_err());
+        assert!(apply_update(&mut g, &rename(0, "#")).is_err());
+        // The null label is rejected before the (deep) target is isolated.
+        let last_ch = bin
+            .preorder()
+            .iter()
+            .rposition(|&n| matches!(bin.kind(n), NodeKind::Term(t) if symbols.name(t) == "ch"))
+            .unwrap();
+        let edges = g.edge_count();
+        assert!(apply_update(&mut g, &rename(last_ch, "#")).is_err());
+        assert_eq!(g.edge_count(), edges);
         assert!(matches!(
-            rename(&mut g, 10_000, "x"),
+            apply_update(&mut g, &rename(10_000, "x")),
             Err(RepairError::TargetOutOfRange { .. })
         ));
     }
@@ -856,7 +832,11 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         for (k, &pos) in element_positions.iter().step_by(7).enumerate() {
-            rename(&mut g, pos as u128, &format!("fresh{k}")).unwrap();
+            let op = UpdateOp::Rename {
+                target: pos,
+                label: format!("fresh{k}"),
+            };
+            apply_update(&mut g, &op).unwrap();
         }
         g.validate().unwrap();
         assert!(g.edge_count() > compressed);

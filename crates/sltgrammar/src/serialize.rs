@@ -31,10 +31,8 @@
 //! byte; [`decode`] verifies it before parsing and rejects mismatches with
 //! the dedicated [`GrammarError::Checksum`] variant, so bit rot in a stored
 //! grammar is reported as corruption instead of as a confusing structural
-//! error. Version 1 files (no checksum) are still decoded — a deliberate
-//! backward-compatibility shim: the format change ships without invalidating
-//! existing `.sltg` files, and the shim costs four bytes of branch in
-//! `decode`. Unknown versions are rejected.
+//! error. Every other version, including the checksum-less version 1, is
+//! rejected with an "unsupported format version" decode error.
 //!
 //! # Robustness against corrupt input
 //!
@@ -56,9 +54,6 @@ use crate::symbol::{NtId, SymbolTable, TermId};
 pub const MAGIC: &[u8; 4] = b"SLTG";
 /// Current format version: CRC-32 of the body follows the version byte.
 pub const VERSION: u8 = 2;
-/// The original format version (no checksum). [`decode`] still accepts it so
-/// files written before the CRC was introduced remain readable.
-pub const LEGACY_VERSION: u8 = 1;
 /// Byte offset of the CRC-32 field in a version-2 encoding; the checksummed
 /// body starts at `CRC_OFFSET + 4`.
 const CRC_OFFSET: usize = MAGIC.len() + 1;
@@ -250,18 +245,14 @@ pub fn decode(data: &[u8]) -> Result<Grammar> {
         return Err(r.error("bad magic bytes (not an SLTG file)"));
     }
     let version = r.byte()?;
-    match version {
-        VERSION => {
-            let header = r.bytes(4)?;
-            let expected = u32::from_le_bytes(header.try_into().expect("4-byte slice"));
-            let found = crc32(&data[r.pos..]);
-            if expected != found {
-                return Err(GrammarError::Checksum { expected, found });
-            }
-        }
-        // Backward-compat shim: version 1 carried no checksum.
-        LEGACY_VERSION => {}
-        other => return Err(r.error(&format!("unsupported format version {other}"))),
+    if version != VERSION {
+        return Err(r.error(&format!("unsupported format version {version}")));
+    }
+    let header = r.bytes(4)?;
+    let expected = u32::from_le_bytes(header.try_into().expect("4-byte slice"));
+    let found = crc32(&data[r.pos..]);
+    if expected != found {
+        return Err(GrammarError::Checksum { expected, found });
     }
 
     // Symbol table. Every count below is bounded by the bytes remaining
@@ -627,18 +618,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_decode() {
+    fn v1_files_get_the_unsupported_version_error() {
         // A version-1 file is the version-2 body with no CRC field and the
-        // version byte set to 1; the compat shim must accept it unchanged.
-        let g = paper_grammar();
-        let v2 = encode(&g);
+        // version byte set to 1.
+        let v2 = encode(&paper_grammar());
         let mut v1 = Vec::with_capacity(v2.len() - 4);
         v1.extend_from_slice(MAGIC);
-        v1.push(LEGACY_VERSION);
+        v1.push(1);
         v1.extend_from_slice(&v2[CRC_OFFSET + 4..]);
-        let back = decode(&v1).unwrap();
-        assert_eq!(fingerprint(&g), fingerprint(&back));
-        assert_eq!(print_grammar(&g), print_grammar(&back));
+        match decode(&v1) {
+            Err(GrammarError::Decode { detail, .. }) => {
+                assert!(detail.contains("unsupported format version 1"), "{detail}")
+            }
+            other => panic!("expected the unsupported-version error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@ use slt_xml::grammar_repair::isolate::{isolate, label_at};
 use slt_xml::grammar_repair::repair::{GrammarRePair, GrammarRePairConfig};
 use slt_xml::sltgrammar::fingerprint::{derived_size, fingerprint};
 use slt_xml::sltgrammar::text::parse_grammar;
+use slt_xml::xmltree::updates::UpdateOp;
 
 /// Section II: the running grammar derives the binary tree of Figure 1 and has
 /// the sizes used throughout the paper.
@@ -44,7 +45,11 @@ fn path_isolation_on_g8() {
     assert!(stats.inlinings <= 4);
     assert!(g.edge_count() <= 2 * before_edges + 2);
     // After renaming the isolated node the first letter changes.
-    slt_xml::grammar_repair::update::rename(&mut g, 0, "c").unwrap();
+    let op = UpdateOp::Rename {
+        target: 0,
+        label: "c".to_string(),
+    };
+    slt_xml::grammar_repair::update::apply_update(&mut g, &op).unwrap();
     assert_eq!(label_at(&g, 0).unwrap(), "c");
     assert_eq!(label_at(&g, 1).unwrap(), "b");
 }

@@ -148,13 +148,15 @@ proptest! {
     /// updates as G and yields the same document afterwards.
     #[test]
     fn prop_serialized_grammars_stay_updatable(xml in arbitrary_xml(40), label in "[a-z]{1,6}") {
-        use slt_xml::grammar_repair::update::rename;
+        use slt_xml::grammar_repair::update::apply_update;
+        use slt_xml::xmltree::updates::UpdateOp;
         let (g, _) = TreeRePair::default().compress_xml(&xml);
         let mut direct = g.clone();
         let mut reloaded = serialize::decode(&serialize::encode(&g)).unwrap();
         // Rename the document root (binary preorder index 0) in both copies.
-        rename(&mut direct, 0, &label).unwrap();
-        rename(&mut reloaded, 0, &label).unwrap();
+        let op = UpdateOp::Rename { target: 0, label };
+        apply_update(&mut direct, &op).unwrap();
+        apply_update(&mut reloaded, &op).unwrap();
         prop_assert_eq!(fingerprint(&direct), fingerprint(&reloaded));
     }
 

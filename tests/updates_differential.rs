@@ -3,15 +3,16 @@
 //! Seeded random update sequences (insert/delete/rename at several locality
 //! settings) are applied simultaneously to
 //!
-//! * a [`CompressedDom`] through the **single-operation** path,
-//! * a [`CompressedDom`] through the **batched** path (`apply_batch`, several
+//! * a [`CompressedDom`] **one operation at a time** (`apply`, a batch of
+//!   one),
+//! * a [`CompressedDom`] through **longer batches** (`apply_batch`, several
 //!   batch sizes), and
 //! * a plain uncompressed binary tree through `xmltree::updates` — the
 //!   oracle,
 //!
 //! with and without automatic recompression, asserting **byte-identical XML
-//! serialization** after every step (every operation on the single-op path,
-//! every batch on the batched path). The harness also pins the batched
+//! serialization** after every step (every operation one at a time, every
+//! batch on the batched path). The harness also pins the batched
 //! isolation growth bound and the byte-identity of singleton batches with
 //! single-target isolation.
 
@@ -57,8 +58,8 @@ fn dom_serialization(dom: &CompressedDom) -> String {
     dom.to_xml().expect("document stays materializable").to_xml()
 }
 
-/// Runs one differential scenario: the same `ops` through the oracle, the
-/// single-op path (checked after every operation) and the batched path with
+/// Runs one differential scenario: the same `ops` through the oracle, one at
+/// a time (checked after every operation) and the batched path with
 /// the given batch size (checked after every batch).
 fn run_differential(
     xml: &XmlTree,
